@@ -11,7 +11,7 @@ Usage::
     python -m repro.bench cache stats --cache-dir .artifact-cache
     python -m repro.bench cache gc --cache-dir .artifact-cache --max-age-days 30
     python -m repro.bench build --n 1000000 --layer2-size 16384 \\
-        --out BENCH_build.json --min-speedup 20
+        --out BENCH_build.json --min-speedup 20 --min-compiled-speedup 3
     python -m repro.bench kernels --n 100000 --out BENCH_kernels.json \\
         --min-speedup 5 [--gate-backend numba]
     python -m repro.bench updates --n 200000 --out BENCH_updates.json \\
@@ -526,6 +526,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="[build] exit 1 unless every config's grouped "
                         "build is at least this much faster than reference")
+    parser.add_argument("--min-compiled-speedup", type=float, default=None,
+                        help="[build] exit 1 unless the compiled build ran "
+                        "and is at least this much faster than the staged "
+                        "grouped build on every config it covers")
     args = parser.parse_args(argv)
 
     if args.cache_dir is not None:
@@ -568,6 +572,18 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             print(f"OK: min speedup {report['min_speedup']:.1f}x >= "
                   f"{args.min_speedup:.1f}x")
+        if args.min_compiled_speedup is not None:
+            got = report["min_compiled_speedup"]
+            if got is None:
+                print("FAIL: no compiled build ran (cext backend absent "
+                      "or no eligible config)")
+                return 1
+            if got < args.min_compiled_speedup:
+                print(f"FAIL: min compiled speedup {got:.1f}x is below "
+                      f"the required {args.min_compiled_speedup:.1f}x")
+                return 1
+            print(f"OK: min compiled speedup {got:.1f}x >= "
+                  f"{args.min_compiled_speedup:.1f}x")
         return 0
 
     kwargs = {}

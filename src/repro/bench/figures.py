@@ -51,6 +51,7 @@ from ..core.builder import RMIConfig
 from ..cost.model import CostModel
 from ..data import cdf as cdf_utils
 from ..data import sosd
+from ..kernels import use_backend
 from ..workload import make_workload, measure_build, run_workload
 from .parallel import pool_map_keys
 from .report import FigureResult
@@ -520,10 +521,21 @@ def fig10_search_algorithms(
 # ---------------------------------------------------------------------------
 
 
+def _measure_staged_build(factory: Callable, keys: np.ndarray, runs: int):
+    """``measure_build`` with NumPy as the process-default backend.
+
+    Figures 11 and 14 compare build algorithms, and every other build
+    they time is NumPy code, so RMIs are timed on the staged build too:
+    the compiled RMI build would compare C against NumPy instead.
+    """
+    with use_backend("numpy"):
+        return measure_build(lambda: factory(keys), runs=runs)
+
+
 def _fig11_row(keys: np.ndarray, entry: tuple) -> dict:
     """Build one fig11 configuration (module-level: pool-picklable)."""
     panel, variant, cfg, runs = entry
-    rmi, build_s = measure_build(lambda: cfg.build(keys), runs=runs)
+    rmi, build_s = _measure_staged_build(cfg.build, keys, runs)
     st = rmi.build_stats
     return dict(
         panel=panel, variant=variant, segments=cfg.layer_sizes[0],
@@ -553,8 +565,11 @@ def fig11_build_time(
     trainer with the paper's no-copy optimization (Section 4.1/7);
     ``fit`` compares the grouped closed-form leaf fit with the
     per-segment reference loop (same LS→LR configuration).  The ``fit``
-    column reports which path trained each row.  ``jobs > 1`` builds
-    the configurations in a process pool.
+    column reports which path trained each row.  Every row times the
+    staged NumPy build: the compiled build covers only linear roots and
+    leaves, so letting it run would compare two implementations instead
+    of the paper's build steps.  ``jobs > 1`` builds the configurations
+    in a process pool.
     """
     result = FigureResult(
         "fig11",
@@ -755,7 +770,7 @@ def _fig14_row(keys: np.ndarray, entry: tuple) -> dict:
     n, index_name, variant, runs = entry
     factory = _comparison_sweeps(n)[index_name][variant][1]
     try:
-        index, build_s = measure_build(lambda: factory(keys), runs=runs)
+        index, build_s = _measure_staged_build(factory, keys, runs)
     except UnsupportedDataError:
         return dict(index=index_name, variant=variant, unsupported=True)
     return dict(
@@ -776,6 +791,7 @@ def fig14_build_comparison(
 ) -> FigureResult:
     """Build time vs index size for all Table 5 indexes (Figure 14).
 
+    Every index, the RMI included, is timed on its NumPy build.
     ``jobs > 1`` builds each dataset's index variants in a process
     pool; rows come back in the same deterministic order either way.
     """
@@ -811,9 +827,8 @@ def fig14_build_comparison(
         for index_name, variants in sweeps.items():
             for variant, (_, factory) in enumerate(variants):
                 try:
-                    index, build_s = measure_build(
-                        lambda: factory(keys), runs=runs
-                    )
+                    index, build_s = _measure_staged_build(factory, keys,
+                                                           runs)
                 except UnsupportedDataError:
                     result.note(f"{index_name} did not work on {name} "
                                 "(duplicates), as in the paper")

@@ -12,13 +12,16 @@ Results always come back in the order of the input items, regardless of
 
 :func:`build_report` is the grouped-vs-reference build benchmark behind
 ``python -m repro.bench build`` and the committed ``BENCH_build.json``:
-it times every configuration once with the grouped closed-form fit and
-once with the per-segment reference path (``grouped_fit=False``) and
-reports the speedups.
+it times every configuration once with the staged grouped closed-form
+fit and once with the per-segment reference path (``grouped_fit=False``)
+and reports the speedups.  Configurations the compiled build covers
+are also timed through the ``cext`` backend's compiled build, after
+asserting that it is bit-identical to the staged grouped build.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -29,8 +32,10 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from ..core.builder import RMIConfig
+from ..core.serialize import rmi_payload
 from ..cost.counters import BuildCounters
 from ..data import sosd
+from ..kernels import backend_available
 
 __all__ = [
     "default_jobs",
@@ -131,6 +136,7 @@ def _timed_build(keys: np.ndarray, config: RMIConfig) -> dict:
         "bound_type": config.bound_type,
         "grouped_fit": bool(config.grouped_fit),
         "fit_path": counters.fit_path,
+        "compiled": bool(st.compiled),
         "build_s": wall,
         "train_root_s": st.train_root_seconds,
         "segment_s": st.segment_seconds,
@@ -170,6 +176,17 @@ def run_build_sweep(
 _REPORT_MODEL_TYPES: "tuple[tuple[str, str], ...]" = (("ls", "lr"), ("ls", "cs"))
 
 
+def _payload_digest(rmi) -> str:
+    """SHA-256 over a trained RMI's serialized arrays (names, dtypes,
+    shapes and bytes): equal digests mean bit-identical indexes."""
+    h = hashlib.sha256()
+    for name, value in sorted(rmi_payload(rmi, include_keys=False).items()):
+        arr = np.ascontiguousarray(value)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def build_report(
     n: int = 1_000_000,
     layer2_size: int = 2**14,
@@ -180,27 +197,53 @@ def build_report(
     jobs: int = 1,
     runs: int = 1,
 ) -> dict:
-    """Grouped vs per-segment build times, as a JSON-ready dict.
+    """Build times of the three build paths, as a JSON-ready dict.
 
-    Each (root, leaf) combination is built with ``grouped_fit=True``
-    and with ``grouped_fit=False`` (the per-segment reference path) on
-    the same keys; ``speedup`` is reference / grouped wall time.  The
-    grouped builds additionally assert structural parity with their
-    reference twin: identical leaf sizes and error-bound payloads.
+    Each (root, leaf) combination is built with the staged grouped fit
+    (``kernels="numpy"`` keeps it off the compiled build) and with
+    ``grouped_fit=False`` (the per-segment reference path) on the same
+    keys; ``speedup`` is reference / grouped wall time.  The grouped
+    builds additionally assert structural parity with their reference
+    twin: identical leaf sizes and error-bound payloads.
+
+    When the ``cext`` backend loads, every combination its compiled
+    build covers is built that way too (entry ``"compiled"``), after
+    asserting bit-identity with the staged grouped build;
+    ``compiled_speedup`` is grouped / compiled wall time.
     """
     keys = sosd.generate(dataset, n=n, seed=seed)
     pairs = [tuple(mt) for mt in model_types]
-    grouped_cfgs = [
-        RMIConfig(model_types=mt, layer_sizes=(int(layer2_size),),
-                  bound_type=bound_type, grouped_fit=True)
-        for mt in pairs
-    ]
-    reference_cfgs = [
-        RMIConfig(model_types=mt, layer_sizes=(int(layer2_size),),
-                  bound_type=bound_type, grouped_fit=False)
-        for mt in pairs
-    ]
+
+    def configs(**kwargs):
+        return [
+            RMIConfig(model_types=mt, layer_sizes=(int(layer2_size),),
+                      bound_type=bound_type, **kwargs)
+            for mt in pairs
+        ]
+
+    grouped_cfgs = configs(grouped_fit=True, kernels="numpy")
+    reference_cfgs = configs(grouped_fit=False)
+    compiled_cfgs = {}
+    if backend_available("cext"):
+        for mt, cfg in zip(pairs, configs(grouped_fit=True,
+                                          kernels="cext")):
+            compiled = cfg.build(keys)
+            if not compiled.build_stats.compiled:
+                continue  # not a config the compiled build covers
+            staged = grouped_cfgs[pairs.index(mt)].build(keys)
+            if _payload_digest(compiled) != _payload_digest(staged):
+                raise AssertionError(
+                    f"{mt}: compiled and staged grouped builds differ"
+                )
+            compiled_cfgs[mt] = cfg
+    # Compiled right after grouped: the gated ratio compares builds
+    # timed back to back, not across the long reference sweep.
     grouped_rows = run_build_sweep(keys, grouped_cfgs, jobs=jobs, runs=runs)
+    compiled_rows = dict(zip(
+        compiled_cfgs,
+        run_build_sweep(keys, list(compiled_cfgs.values()), jobs=jobs,
+                        runs=runs),
+    ))
     reference_rows = run_build_sweep(keys, reference_cfgs, jobs=jobs,
                                      runs=runs)
     entries = []
@@ -210,15 +253,25 @@ def build_report(
                 f"{mt}: grouped and reference builds disagree on index "
                 f"size ({g['index_bytes']} vs {r['index_bytes']} bytes)"
             )
-        entries.append({
+        entry = {
             "model_types": list(mt),
             "grouped": g,
             "reference": r,
             "speedup": r["build_s"] / max(g["build_s"], 1e-12),
-        })
+        }
+        c = compiled_rows.get(mt)
+        if c is not None:
+            entry["compiled"] = c
+            entry["bit_identical"] = True
+            entry["compiled_speedup"] = (
+                g["build_s"] / max(c["build_s"], 1e-12)
+            )
+        entries.append(entry)
     speedups = [e["speedup"] for e in entries]
+    compiled_speedups = [e["compiled_speedup"] for e in entries
+                         if "compiled_speedup" in e]
     return {
-        "benchmark": "grouped vs per-segment RMI build",
+        "benchmark": "compiled vs grouped vs per-segment RMI build",
         "dataset": dataset,
         "n": int(n),
         "layer2_size": int(layer2_size),
@@ -230,6 +283,8 @@ def build_report(
         "configs": entries,
         "min_speedup": min(speedups) if speedups else None,
         "max_speedup": max(speedups) if speedups else None,
+        "min_compiled_speedup": (min(compiled_speedups)
+                                 if compiled_speedups else None),
     }
 
 
@@ -251,5 +306,14 @@ def render_build_report(report: dict) -> str:
             f"  {arrow:8s} grouped {e['grouped']['build_s']:8.3f}s   "
             f"reference {e['reference']['build_s']:8.3f}s   "
             f"speedup {e['speedup']:6.1f}x"
+        )
+    for e in report["configs"]:
+        if "compiled" not in e:
+            continue
+        arrow = "->".join(e["model_types"])
+        lines.append(
+            f"  {arrow:8s} compiled {e['compiled']['build_s']:7.3f}s   "
+            f"grouped {e['grouped']['build_s']:9.3f}s   "
+            f"speedup {e['compiled_speedup']:6.1f}x  (bit-identical)"
         )
     return "\n".join(lines)

@@ -80,6 +80,19 @@ class ErrorBounds:
         """
         raise NotImplementedError
 
+    @classmethod
+    def from_extremes(
+        cls, lo: np.ndarray, hi: np.ndarray, n: int
+    ) -> "ErrorBounds":
+        """Bounds from raw per-model signed-error extremes.
+
+        ``lo``/``hi`` are each model's minimum/maximum signed error,
+        with ``(INT64_MAX, INT64_MIN)`` for models no key maps to (the
+        output of the compiled RMI build).  Equal to :meth:`compute`
+        over the errors those extremes summarize.
+        """
+        raise NotImplementedError
+
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         """Inclusive search interval for one prediction (unclamped)."""
         raise NotImplementedError
@@ -102,13 +115,14 @@ def _signed_errors(predictions: np.ndarray, positions: np.ndarray) -> np.ndarray
 def _per_model_extremes(
     errors: np.ndarray, model_ids: np.ndarray, num_models: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-model minimum and maximum signed error.
+    """Raw per-model minimum and maximum signed error.
 
     Extremes are taken over the keys actually assigned to each model,
     so a model with one-sided bias gets a one-sided (tighter) interval
     -- the advantage of individual over absolute bounds the paper
-    highlights in Section 5.3.  Models with no assigned key get
-    ``(0, 0)``: their predictions are never produced for present keys.
+    highlights in Section 5.3.  Models with no assigned key keep the
+    sentinels ``(INT64_MAX, INT64_MIN)``; :func:`_local_extremes`
+    turns those into ``(0, 0)``.
     """
     lo = np.full(num_models, np.iinfo(np.int64).max, dtype=np.int64)
     hi = np.full(num_models, np.iinfo(np.int64).min, dtype=np.int64)
@@ -127,6 +141,16 @@ def _per_model_extremes(
         else:
             np.minimum.at(lo, model_ids, errors)
             np.maximum.at(hi, model_ids, errors)
+    return lo, hi
+
+
+def _local_extremes(
+    lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw extremes with empty models set to ``(0, 0)``: their
+    predictions are never produced for present keys."""
+    lo = lo.copy()
+    hi = hi.copy()
     untouched = lo > hi  # no key ever mapped to this model
     lo[untouched] = 0
     hi[untouched] = 0
@@ -145,8 +169,13 @@ class LocalIndividualBounds(ErrorBounds):
     @classmethod
     def compute(cls, predictions, positions, model_ids, num_models, n):
         errors = _signed_errors(predictions, positions)
-        lo, hi = _per_model_extremes(errors, model_ids, num_models)
-        return cls(lo, hi)
+        return cls.from_extremes(
+            *_per_model_extremes(errors, model_ids, num_models), n
+        )
+
+    @classmethod
+    def from_extremes(cls, lo, hi, n):
+        return cls(*_local_extremes(lo, hi))
 
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         return (
@@ -173,7 +202,13 @@ class LocalAbsoluteBounds(ErrorBounds):
     @classmethod
     def compute(cls, predictions, positions, model_ids, num_models, n):
         errors = _signed_errors(predictions, positions)
-        lo, hi = _per_model_extremes(errors, model_ids, num_models)
+        return cls.from_extremes(
+            *_per_model_extremes(errors, model_ids, num_models), n
+        )
+
+    @classmethod
+    def from_extremes(cls, lo, hi, n):
+        lo, hi = _local_extremes(lo, hi)
         return cls(np.maximum(-lo, hi))
 
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
@@ -205,6 +240,12 @@ class GlobalIndividualBounds(ErrorBounds):
             return cls(0, 0)
         return cls(int(errors.min()), int(errors.max()))
 
+    @classmethod
+    def from_extremes(cls, lo, hi, n):
+        # Empty models' sentinels never win a min/max against a real
+        # error, and n >= 1 keys guarantee one real error.
+        return cls(int(lo.min()), int(hi.max()))
+
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         return prediction + self.min_err, prediction + self.max_err
 
@@ -230,6 +271,11 @@ class GlobalAbsoluteBounds(ErrorBounds):
         if len(errors) == 0:
             return cls(0)
         return cls(int(np.max(np.abs(errors))))
+
+    @classmethod
+    def from_extremes(cls, lo, hi, n):
+        # max |e| over a set is max(max e, -min e).
+        return cls(max(-int(lo.min()), int(hi.max())))
 
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         return prediction - self.abs_err, prediction + self.abs_err
@@ -258,6 +304,10 @@ class NoBounds(ErrorBounds):
 
     @classmethod
     def compute(cls, predictions, positions, model_ids, num_models, n):
+        return cls(n)
+
+    @classmethod
+    def from_extremes(cls, lo, hi, n):
         return cls(n)
 
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:

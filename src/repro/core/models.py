@@ -340,11 +340,14 @@ class LinearRegression(Model):
 
         Uses the same centered normal equations as :meth:`fit`, with all
         per-segment sums taken by ``np.add.reduceat``.  Parameters agree
-        with the per-segment path up to summation order (``np.mean`` /
-        ``np.dot`` use pairwise summation; reduceat is sequential), i.e.
-        to within a few ulp — cumsum differencing is deliberately *not*
-        used because cancellation on ~2^63-magnitude keys would bias the
-        OLS denominator.
+        with the per-segment path up to summation order, i.e. to within
+        a few ulp: ``np.mean`` sums a segment pairwise and ``np.dot``
+        through BLAS, while reduceat sums it as ``a[0] + pairwise(a[1:])``
+        (NumPy's pairwise summation: 8 accumulators, 128-element blocks).
+        The compiled RMI build replays exactly that order, and
+        ``tests/test_compiled_build.py`` pins it.  Cumsum differencing is
+        deliberately *not* used because cancellation on ~2^63-magnitude
+        keys would bias the OLS denominator.
         """
         counts = np.diff(offsets)
         fanout = len(counts)

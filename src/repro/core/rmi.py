@@ -35,9 +35,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ErrorBounds, NoBounds, compute_bounds, resolve_bound_type
+from .bounds import (
+    BOUND_TYPES,
+    ErrorBounds,
+    NoBounds,
+    compute_bounds,
+    resolve_bound_type,
+)
 from .layers import LayerTable
-from .models import ConstantModel, CubicSpline, Model, grouped_fitter, resolve_model_type
+from .models import (
+    SOA_MODEL_CODES,
+    ConstantModel,
+    CubicSpline,
+    LinearRegression,
+    LinearSpline,
+    Model,
+    grouped_fitter,
+    resolve_model_type,
+)
 from .search import batch_lower_bound_window, resolve_search_algorithm
 
 __all__ = ["RMI", "BuildStats", "LookupTrace", "build_rmi_layers"]
@@ -63,6 +78,9 @@ class BuildStats:
     #: ``"grouped"`` for the closed-form all-segments-at-once fit,
     #: ``"per_segment"`` for the Listing-1 style Python loop.
     fit_path: str = "grouped"
+    #: True when the kernel backend's compiled build ran steps (2)-(4)
+    #: (a grouped fit, bit-identical to the staged one).
+    compiled: bool = False
 
     @property
     def total_seconds(self) -> float:
@@ -80,7 +98,8 @@ class BuildStats:
             f"(root {self.train_root_seconds:.4f}s, "
             f"segment {self.segment_seconds:.4f}s, "
             f"leaves {self.train_leaves_seconds:.4f}s, "
-            f"bounds {self.bounds_seconds:.4f}s; {self.fit_path} fit)"
+            f"bounds {self.bounds_seconds:.4f}s; {self.fit_path} fit"
+            f"{', compiled' if self.compiled else ''})"
         )
 
 
@@ -171,8 +190,13 @@ class RMI:
         (all segments at once, NumPy reductions) instead of the
         per-segment Python loop.  Both paths produce the same models —
         bit-exact for the spline families, up to summation order (a few
-        ulp) for the mean-based ones; disable for the per-segment
-        Listing-1 reference semantics.
+        ulp) for the mean-based ones: ``np.mean``/``np.dot`` sum a
+        segment pairwise (``np.dot`` through BLAS), while the grouped
+        ``np.add.reduceat`` sums it as ``a[0] + pairwise(a[1:])``.
+        Disable for the per-segment Listing-1 reference semantics.
+        Two-layer linear RMIs (root LS/LR, leaves LS/LR, no key copies)
+        on a backend with a compiled build train through it instead;
+        its output is bit-identical to the staged grouped build.
     ``kernels``
         Kernel backend for the batch lookup hot path: a registry name
         (``"numpy"``/``"numba"``/``"cext"``), ``"auto"``, or ``None``
@@ -227,6 +251,7 @@ class RMI:
         self.bounds: ErrorBounds = NoBounds(self.n)
         self.build_stats = BuildStats()
         self._leaf_model_ids: np.ndarray | None = None
+        self._leaf_offsets: np.ndarray | None = None
         self._leaf_linear: tuple[np.ndarray, np.ndarray] | None = None
         self._build()
 
@@ -235,6 +260,100 @@ class RMI:
     # ------------------------------------------------------------------
 
     def _build(self) -> None:
+        if not self._build_compiled():
+            self._build_staged()
+
+    def _compiled_build_eligible(self) -> bool:
+        """Whether the backend's compiled build can replace the staged
+        one: two layers, linear root and leaves, grouped no-copy
+        training and a Table 3 bound strategy.  A one-model leaf layer
+        does not qualify -- the staged build fits it per segment."""
+        linear = (LinearSpline, LinearRegression)
+        return (
+            len(self.layer_sizes) == 2
+            and self.layer_sizes[1] > 1
+            and self.model_types[0] in linear
+            and self.model_types[1] in linear
+            and self.grouped_fit
+            and not self.copy_keys
+            and self.bound_type in BOUND_TYPES.values()
+        )
+
+    def _build_compiled(self) -> bool:
+        """Train through the kernel backend's compiled build.
+
+        Returns ``False``, having changed nothing, when the config is
+        not eligible, the backend has no compiled build, or the kernel
+        declines the keys; ``_build_staged`` then runs instead.
+        """
+        if not self._compiled_build_eligible():
+            return False
+        from ..kernels import get_backend
+
+        try:
+            backend = get_backend(self.kernels)
+        except (RuntimeError, ValueError):
+            return False  # the staged build does not need a backend
+        n = self.n
+        fanout = self.layer_sizes[1]
+        t0 = time.perf_counter()
+        root = self._fit_linear_root(fanout)
+        t1 = time.perf_counter()
+        scale = 1.0 if self.train_on_model_index else fanout / max(n, 1)
+        built = backend.rmi_build(
+            self.keys, fanout, root.slope, root.intercept, scale,
+            SOA_MODEL_CODES[self.model_types[1]],
+            self.bound_type is not NoBounds,
+        )
+        if built is None:
+            return False
+        segment_s, leaves_s, bounds_s = built.seconds
+        stats = BuildStats(
+            train_root_seconds=t1 - t0,
+            segment_seconds=segment_s,
+            train_leaves_seconds=leaves_s,
+            keys_touched=n,
+            compiled=True,
+        )
+        self.layers = [
+            LayerTable.from_models([root]),
+            LayerTable(built.codes, built.params),
+        ]
+        self._leaf_offsets = built.offsets
+        self._cache_linear_leaves()
+        if self.bound_type is NoBounds:
+            self.bounds = NoBounds(n)
+        else:
+            t2 = time.perf_counter()
+            self.bounds = self.bound_type.from_extremes(
+                built.err_lo, built.err_hi, n
+            )
+            stats.bounds_seconds = bounds_s + time.perf_counter() - t2
+            stats.keys_touched += n
+        self.build_stats = stats
+        return True
+
+    def _fit_linear_root(self, fanout: int) -> Model:
+        """The staged build's fanout-1 root fit, on the same targets.
+
+        A linear spline reads only the first and last (key, target)
+        pair, so it is fitted on those alone rather than on n-long
+        arrays; linear regression needs every target.
+        """
+        n = self.n
+        if self.model_types[0] is LinearSpline:
+            idx = np.unique(np.array([0, n - 1], dtype=np.int64))
+            keys = self.keys[idx]
+            targets = idx.astype(np.float64)
+        else:
+            keys = self.keys
+            targets = np.arange(n, dtype=np.float64)
+        if self.train_on_model_index:
+            targets = targets * (fanout / n)
+        return self.model_types[0].fit(keys, targets)
+
+    def _build_staged(self) -> None:
+        """The reference build: layer by layer in NumPy (any config)."""
         stats = BuildStats(
             fit_path="grouped" if self.grouped_fit else "per_segment"
         )
@@ -657,8 +776,20 @@ class RMI:
 
     @property
     def leaf_model_ids(self) -> np.ndarray:
-        """Last-layer model id of every indexed key (training routing)."""
-        assert self._leaf_model_ids is not None
+        """Last-layer model id of every indexed key (training routing).
+
+        A compiled build keeps only the leaf offsets (its routing is
+        non-decreasing) and expands them here on first use, sparing
+        every serving index an n-long array nothing on the lookup path
+        reads.
+        """
+        if self._leaf_model_ids is None:
+            offsets = self._leaf_offsets
+            assert offsets is not None
+            self._leaf_model_ids = np.repeat(
+                np.arange(len(offsets) - 1, dtype=np.int64),
+                np.diff(offsets),
+            )
         return self._leaf_model_ids
 
     def size_in_bytes(self) -> int:

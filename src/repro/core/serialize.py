@@ -234,6 +234,7 @@ def rmi_from_payload(data, keys: np.ndarray | None = None) -> RMI:
     del num_leaves
 
     rmi._leaf_model_ids = data["leaf_model_ids"].astype(np.int64)
+    rmi._leaf_offsets = None
     rmi._leaf_linear = None
     rmi._cache_linear_leaves()
     return rmi

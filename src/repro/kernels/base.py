@@ -17,6 +17,10 @@ A backend provides the hot kernels of the lookup path over flat arrays
     The RMI-specific fused paths: Equation-3 routing + Equation-4 leaf
     prediction, the full predict→bounds→bounded-search lookup, and the
     serving-layer point+range unit chaining three lookups in one call.
+``rmi_build``
+    The compiled build of a two-layer linear RMI (routing, leaf fits,
+    error extremes in three passes).  Optional: backends without one
+    return ``None`` and ``RMI`` takes its staged build.
 ``pla_lookup`` / ``pla_serve``
     The same fused shapes over a :class:`~repro.kernels.packed_pla.PackedPLA`
     (PGM descent, FITing-Tree segment routing, RadixSpline knot
@@ -40,9 +44,11 @@ to ``[0, n-1]``, results are ``int64`` lower-bound positions.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["KernelBackend", "PACKED_DISPATCH"]
+__all__ = ["KernelBackend", "PACKED_DISPATCH", "LinearRMIBuild"]
 
 #: ``packed_kind`` tag -> (lookup method, serve method) names.
 PACKED_DISPATCH = {
@@ -50,6 +56,25 @@ PACKED_DISPATCH = {
     "pla": ("pla_lookup", "pla_serve"),
     "tree": ("tree_lookup", "tree_serve"),
 }
+
+
+class LinearRMIBuild(NamedTuple):
+    """What :meth:`KernelBackend.rmi_build` hands back to ``RMI``.
+
+    ``offsets`` bounds each leaf's run of keys (the routing is
+    non-decreasing), ``codes``/``params`` are the leaf layer's SoA
+    table, ``err_lo``/``err_hi`` the raw per-leaf
+    extremes of the signed error (``INT64_MAX``/``INT64_MIN`` for empty
+    leaves; see ``ErrorBounds.from_extremes``) and ``seconds`` the
+    (segment, leaf fit, bounds) pass times.
+    """
+
+    offsets: np.ndarray
+    codes: np.ndarray
+    params: np.ndarray
+    err_lo: np.ndarray
+    err_hi: np.ndarray
+    seconds: "tuple[float, float, float]"
 
 
 class KernelBackend:
@@ -120,6 +145,29 @@ class KernelBackend:
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Fused serving unit: ``(positions, range_starts, range_counts)``."""
         raise NotImplementedError
+
+    def rmi_build(
+        self,
+        keys: np.ndarray,
+        fanout: int,
+        root_slope: float,
+        root_intercept: float,
+        scale: float,
+        leaf_code: int,
+        with_bounds: bool,
+    ) -> "LinearRMIBuild | None":
+        """Build the leaf layer of a two-layer linear RMI, or ``None``.
+
+        ``keys`` are sorted ``uint64``; the caller has fitted the linear
+        root (``root_slope``/``root_intercept``), whose predictions are
+        multiplied by ``scale`` before Equation-3 routing into
+        ``fanout`` leaves of SoA family ``leaf_code`` (LR or LS).
+        ``None`` means "no compiled build here" -- the default, and the
+        answer for inputs the kernel does not handle (keys the root
+        routes out of order) -- and the caller falls back to its staged
+        build, whose output a compiled build must match bit for bit.
+        """
+        return None
 
     def pla_lookup(
         self, packed, keys: np.ndarray, queries: np.ndarray

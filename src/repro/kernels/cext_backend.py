@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from .base import KernelBackend
+from .base import KernelBackend, LinearRMIBuild
 from .packed import PackedRMI
 from .packed_pla import PackedPLA
 from .packed_tree import PackedTree
@@ -49,6 +49,7 @@ class CExtUnavailable(RuntimeError):
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
+#include <time.h>
 
 /* Lower bound (numpy.searchsorted side="left") on the half-open range
  * [left, right). */
@@ -522,6 +523,197 @@ static void tree_batch(const uint64_t *keys, int64_t n, int32_t kind,
     }
 }
 
+/* ---------------------------------------------------------------------
+ * Compiled RMI build: two layers, a linear root (fitted by the caller)
+ * over LS or LR leaves.  Three streaming passes replay RMI._build's
+ * staged grouped arithmetic bit for bit:
+ *   1. root predict -> RMI._assignments -> leaf offsets (the leaf ids
+ *      are non-decreasing, so offsets determine them);
+ *   2. per-leaf fit: LinearSpline.fit_grouped's endpoint formulas, or
+ *      LinearRegression.fit_grouped's two rounds of segment sums;
+ *   3. leaf predict -> RMI._predict_positions -> signed error ->
+ *      per-leaf raw min/max (INT64_MAX/INT64_MIN for empty leaves),
+ *      from which bounds.py derives all five bound types.
+ * --------------------------------------------------------------------- */
+
+/* NumPy's pairwise summation (pairwise_sum in umath's loops_utils), the
+ * order np.add.reduce/reduceat use on a contiguous float64 run: under 8
+ * elements a plain loop from -0.0; up to 128 elements eight interleaved
+ * accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then a
+ * sequential tail; above 128 a split at len/2 rounded down to a
+ * multiple of 8.  Elements are generated on the fly by ELEM(i), which
+ * sets a and b; the two sums share one traversal but keep separate
+ * accumulators, so each equals NumPy's sum of its own array exactly. */
+#define PW_BLOCKSIZE 128
+
+#define DEFINE_PAIRWISE2(NAME, ELEM)                                      \
+static void NAME(const uint64_t *keys, int64_t i0, int64_t len,          \
+                 double mx, double my, double *s1, double *s2) {         \
+    double a, b;                                                          \
+    (void)mx; (void)my;                                                   \
+    if (len < 8) {                                                        \
+        double r1 = -0.0, r2 = -0.0;                                      \
+        for (int64_t i = i0; i < i0 + len; i++) {                         \
+            ELEM(i); r1 += a; r2 += b;                                    \
+        }                                                                 \
+        *s1 = r1; *s2 = r2;                                               \
+        return;                                                           \
+    }                                                                     \
+    if (len <= PW_BLOCKSIZE) {                                            \
+        double p[8], q[8];                                                \
+        int64_t i;                                                        \
+        for (int k = 0; k < 8; k++) { ELEM(i0 + k); p[k] = a; q[k] = b; } \
+        for (i = 8; i < len - (len % 8); i += 8) {                        \
+            for (int k = 0; k < 8; k++) {                                 \
+                ELEM(i0 + i + k); p[k] += a; q[k] += b;                   \
+            }                                                             \
+        }                                                                 \
+        double r1 = ((p[0] + p[1]) + (p[2] + p[3])) +                     \
+                    ((p[4] + p[5]) + (p[6] + p[7]));                      \
+        double r2 = ((q[0] + q[1]) + (q[2] + q[3])) +                     \
+                    ((q[4] + q[5]) + (q[6] + q[7]));                      \
+        for (; i < len; i++) { ELEM(i0 + i); r1 += a; r2 += b; }          \
+        *s1 = r1; *s2 = r2;                                               \
+        return;                                                           \
+    }                                                                     \
+    int64_t n2 = len / 2;                                                 \
+    n2 -= n2 % 8;                                                         \
+    double l1, l2, h1, h2;                                                \
+    NAME(keys, i0, n2, mx, my, &l1, &l2);                                 \
+    NAME(keys, i0 + n2, len - n2, mx, my, &h1, &h2);                      \
+    *s1 = l1 + h1; *s2 = l2 + h2;                                         \
+}
+
+/* (x, y): the key and its position as float64 (_as_float(keys) and the
+ * float64 arange of leaf targets). */
+#define ELEM_XY(i) do { a = (double)keys[(i)]; b = (double)(i); } while (0)
+/* (dx*dx, dx*dy): the centered products of the LR normal equations. */
+#define ELEM_CENTERED(i) do {                                             \
+    double dx_ = (double)keys[(i)] - mx;                                  \
+    a = dx_ * dx_; b = dx_ * ((double)(i) - my); } while (0)
+
+DEFINE_PAIRWISE2(pairwise_xy, ELEM_XY)
+DEFINE_PAIRWISE2(pairwise_centered, ELEM_CENTERED)
+
+/* np.add.reduceat's value for the segment [s, e), e > s: the first
+ * element, plus the pairwise sum of the rest (when there is a rest). */
+#define SEGMENT_SUMS(PAIRWISE, ELEM, s, e, s1, s2) do {                   \
+    double a, b;                                                          \
+    ELEM(s);                                                              \
+    s1 = a; s2 = b;                                                       \
+    if ((e) - (s) > 1) {                                                  \
+        double t1_, t2_;                                                  \
+        PAIRWISE(keys, (s) + 1, (e) - (s) - 1, mx, my, &t1_, &t2_);       \
+        s1 += t1_; s2 += t2_;                                             \
+    }                                                                     \
+} while (0)
+
+static double now_seconds(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* leaf_code: SoA model code of the leaves (1 LinearRegression, 2
+ * LinearSpline).  scale: the Equation-3 factor applied to root
+ * predictions (1.0 when the root was trained on model indexes).
+ * params must arrive zeroed.  Returns 0 on success, 1 when the root
+ * routes keys out of order (the staged path then re-sorts them), 2 on
+ * an unknown leaf code.  seconds receives the three passes' times. */
+int32_t repro_rmi_build_linear(const uint64_t *keys, int64_t n,
+                               double root_slope, double root_icept,
+                               double scale, int64_t fanout,
+                               int32_t leaf_code, int32_t want_bounds,
+                               int64_t *offsets,
+                               int8_t *codes, double *params,
+                               int64_t *err_lo, int64_t *err_hi,
+                               double *seconds) {
+    if (leaf_code != 1 && leaf_code != 2) return 2;
+    double t0 = now_seconds();
+
+    /* Pass 1: RMI._assignments -- nan -> 0, clamp to [0, fanout-1] in
+     * float space, floor (a truncating cast, the value being >= 0).
+     * offsets[j] is the first key routed to leaf j or beyond; it is
+     * written only where the leaf changes, so there is no per-key
+     * counter update for the next key to wait on. */
+    double leaf_cap = (double)(fanout - 1);
+    int64_t prev = 0;
+    offsets[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double est = (root_slope * (double)keys[i] + root_icept) * scale;
+        if (isnan(est) || est < 0.0) est = 0.0;
+        if (est > leaf_cap) est = leaf_cap;
+        int64_t leaf = (int64_t)est;
+        if (leaf != prev) {
+            if (leaf < prev) return 1;
+            for (int64_t j = prev + 1; j <= leaf; j++) offsets[j] = i;
+            prev = leaf;
+        }
+    }
+    for (int64_t j = prev + 1; j <= fanout; j++) offsets[j] = n;
+    double t1 = now_seconds();
+
+    /* Pass 2: per-leaf fit.  Empty leaves stay ConstantModel(0). */
+    for (int64_t j = 0; j < fanout; j++) {
+        int64_t s = offsets[j], e = offsets[j + 1];
+        double *p = params + j * 6;
+        if (s == e) {
+            codes[j] = 0;
+            continue;
+        }
+        codes[j] = (int8_t)leaf_code;
+        if (leaf_code == 2) {
+            double x0 = (double)keys[s], y0 = (double)s;
+            double x1 = (double)keys[e - 1], y1 = (double)(e - 1);
+            if (x1 == x0) {
+                p[0] = 0.0;
+                p[1] = y0;
+            } else {
+                double slope = (y1 - y0) / (x1 - x0);
+                p[0] = slope;
+                p[1] = y0 - slope * x0;
+            }
+        } else {
+            double mx = 0.0, my = 0.0, sx, sy, sxx, sxy;
+            SEGMENT_SUMS(pairwise_xy, ELEM_XY, s, e, sx, sy);
+            double cnt = (double)(e - s);
+            mx = sx / cnt;
+            my = sy / cnt;
+            SEGMENT_SUMS(pairwise_centered, ELEM_CENTERED, s, e, sxx, sxy);
+            double slope = sxx > 0.0 ? sxy / sxx : 0.0;
+            p[0] = slope;
+            p[1] = my - slope * mx;
+        }
+    }
+    double t2 = now_seconds();
+
+    /* Pass 3: signed errors of the clamped, truncated leaf predictions
+     * (RMI._predict_positions), reduced to per-leaf extremes. */
+    if (want_bounds) {
+        double pos_cap = (double)(n - 1);
+        for (int64_t j = 0; j < fanout; j++) {
+            int64_t s = offsets[j], e = offsets[j + 1];
+            double slope = params[j * 6], icept = params[j * 6 + 1];
+            int64_t lo = INT64_MAX, hi = INT64_MIN;
+            for (int64_t i = s; i < e; i++) {
+                double est = slope * (double)keys[i] + icept;
+                if (isnan(est) || est < 0.0) est = 0.0;
+                if (est > pos_cap) est = pos_cap;
+                int64_t err = i - (int64_t)est;
+                lo = err < lo ? err : lo;
+                hi = err > hi ? err : hi;
+            }
+            err_lo[j] = lo;
+            err_hi[j] = hi;
+        }
+    }
+    double t3 = now_seconds();
+    seconds[0] = t1 - t0;
+    seconds[1] = t2 - t1;
+    seconds[2] = t3 - t2;
+    return 0;
+}
+
 void repro_lower_bound_window(const uint64_t *keys, int64_t n,
                               const uint64_t *queries, int64_t m,
                               const int64_t *lo, const int64_t *hi,
@@ -845,7 +1037,13 @@ _SIGNATURES = {
     "repro_tree_serve":
         [_u64, _c_i64, *_TREE_ARGS, _u64, _c_i64, _u64, _u64, _c_i64,
          _i64, _i64, _i64],
+    "repro_rmi_build_linear":
+        [_u64, _c_i64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+         _c_i64, _c_i32, _c_i32, _i64, _i8, _f64, _i64, _i64, _f64],
 }
+
+#: Kernels returning a status code; every other kernel returns void.
+_RESTYPES = {"repro_rmi_build_linear": _c_i32}
 
 
 def load() -> "CExtBackend":
@@ -861,7 +1059,7 @@ def load() -> "CExtBackend":
         except AttributeError as exc:
             raise CExtUnavailable(f"{lib_path} lacks {fname}") from exc
         fn.argtypes = argtypes
-        fn.restype = None
+        fn.restype = _RESTYPES.get(fname)
     return CExtBackend(lib)
 
 
@@ -966,6 +1164,28 @@ class CExtBackend(KernelBackend):
             positions, starts, counts,
         )
         return positions, starts, counts
+
+    def rmi_build(self, keys, fanout, root_slope, root_intercept, scale,
+                  leaf_code, with_bounds):
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        fanout = int(fanout)
+        if fanout < 1 or not len(keys):
+            return None
+        offsets = np.empty(fanout + 1, dtype=np.int64)
+        codes = np.empty(fanout, dtype=np.int8)
+        params = np.zeros((fanout, 6), dtype=np.float64)
+        err_lo = np.empty(fanout, dtype=np.int64)
+        err_hi = np.empty(fanout, dtype=np.int64)
+        seconds = np.zeros(3, dtype=np.float64)
+        status = self._lib.repro_rmi_build_linear(
+            keys, len(keys), float(root_slope), float(root_intercept),
+            float(scale), fanout, int(leaf_code), 1 if with_bounds else 0,
+            offsets, codes, params, err_lo, err_hi, seconds,
+        )
+        if status != 0:
+            return None
+        return LinearRMIBuild(offsets, codes, params, err_lo, err_hi,
+                              tuple(float(s) for s in seconds))
 
     def pla_lookup(self, packed: PackedPLA, keys, queries):
         keys = np.ascontiguousarray(keys, dtype=np.uint64)

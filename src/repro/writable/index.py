@@ -37,7 +37,7 @@ uses for hot swaps, extended inside the index.
 
 **Rebuild protocol** (:meth:`begin_rebuild` / :meth:`finish_rebuild`):
 the rebuild snapshots ``(live keys, watermark)``, builds a new base
-off-thread (through the grouped-fit fast path for RMIs and the
+off-thread (through the compiled or grouped-fit build for RMIs and the
 artifact cache when active -- see :mod:`repro.writable.rebuild`), and
 the finish step compacts the delta down to writes newer than the
 watermark and publishes the new view.  Writes racing the rebuild are
@@ -180,8 +180,23 @@ class _View:
             self.delta.keys, self.correction(), base_pos, queries
         )
 
+    def live_len(self) -> int:
+        """Number of live keys, without materializing them: base size,
+        minus the shadowed base entries, plus the delta-live keys."""
+        if self._live is not None:
+            return len(self._live)
+        n = len(self.base.keys)
+        if not len(self.delta):
+            return n
+        return int(n - self.shadow_cum()[-1] + len(self.delta.insert_keys))
+
     def live_keys(self) -> np.ndarray:
-        """The merged live key array (materialized once per view)."""
+        """The merged live key array (materialized once per view).
+
+        A linear merge: drop every base run a delta key shadows, then
+        insert the delta-live keys at their lower-bound positions in
+        what is left.
+        """
         live = self._live
         if live is None:
             base_keys = np.asarray(self.base.keys, dtype=np.uint64)
@@ -189,17 +204,18 @@ class _View:
                 live = base_keys
             else:
                 dk = self.delta.keys
+                cum = self.shadow_cum()
+                # Delta keys are sorted and unique, so their base runs
+                # [lo, lo + run) are disjoint; the g-th shadowed entry
+                # overall sits at lo[j] - cum[j] + g within run j.
                 lo = np.searchsorted(base_keys, dk, side="left")
-                hi = np.searchsorted(base_keys, dk, side="right")
-                # Interval marks: +1 at each shadowed run start, -1 past
-                # its end; positive prefix sums mark shadowed entries.
-                marks = np.zeros(len(base_keys) + 1, dtype=np.int64)
-                np.add.at(marks, lo, 1)
-                np.add.at(marks, hi, -1)
-                shadowed = np.cumsum(marks[:-1]) > 0
-                live = np.sort(np.concatenate([
-                    base_keys[~shadowed], self.delta.insert_keys
-                ]), kind="stable")
+                kept_at = lo - cum[:-1]  # dk's lower bound after the drop
+                keep = np.ones(len(base_keys), dtype=bool)
+                keep[np.repeat(kept_at, np.diff(cum))
+                     + np.arange(cum[-1])] = False
+                live = np.insert(base_keys[keep],
+                                 kept_at[self.delta.ops == OP_INSERT],
+                                 self.delta.insert_keys)
             live.setflags(write=False)
             self._live = live
         return live
@@ -250,7 +266,7 @@ class WritableIndex(OrderedIndex):
 
     @property
     def n(self) -> int:  # type: ignore[override]
-        return len(self.keys)
+        return self._view.live_len()
 
     @property
     def delta_len(self) -> int:
@@ -339,7 +355,7 @@ class WritableIndex(OrderedIndex):
         view = self._view
         if not len(view.delta):
             return view.base.search_bounds(key)
-        n = len(view.live_keys())
+        n = view.live_len()
         return SearchBounds(lo=0, hi=n - 1, hint=self.lower_bound(key))
 
     def range_query_batch(
@@ -471,7 +487,7 @@ class WritableIndex(OrderedIndex):
         return {
             "name": self.name,
             "base": view.base.stats(),
-            "n": len(view.live_keys()),
+            "n": view.live_len(),
             "delta_len": len(view.delta),
             "staleness_s": self.staleness_s(),
             "bytes": self.size_in_bytes(),

@@ -7,9 +7,10 @@ The grouped fitters (``fit_grouped``) must reproduce the per-segment
   their grouped parameters are **bit-exact** equal to the per-segment
   ones;
 * ConstantModel and LinearRegression differ only in summation order
-  (``np.mean`` / ``np.dot`` sum pairwise, ``np.add.reduceat``
-  sequentially), so parameters and predictions agree to a few ulp --
-  the documented tolerance here is relative 1e-10;
+  (``np.mean`` sums pairwise, ``np.dot`` through BLAS,
+  ``np.add.reduceat`` as ``a[0] + pairwise(a[1:])``), so parameters
+  and predictions agree to a few ulp -- the documented tolerance here
+  is relative 1e-10;
 * whole-RMI builds must be **structurally identical** either way:
   same leaf assignments, same error-bound payloads, same size, same
   lookup results.

@@ -184,6 +184,10 @@ def _assert_answers_match(windex: WritableIndex, oracle: _LiveOracle,
     q = np.array(probes, dtype=np.uint64)
     expected = np.searchsorted(live, q, side="left").astype(np.int64)
 
+    # The O(1) counts come first, before ``keys`` materializes (and
+    # caches) the live array they would otherwise read.
+    assert windex.n == len(live)
+    assert windex.stats()["n"] == len(live)
     assert np.array_equal(np.asarray(windex.keys), live)
     assert np.array_equal(windex.lookup_batch(q), expected)
     # scalar path agrees with the batch path
@@ -273,6 +277,45 @@ def test_upsert_collapses_base_duplicates():
     assert not windex.contains(5)
     windex.insert(5)
     assert windex.contains(5)
+
+
+def _live_keys_by_sort(base_keys, delta):
+    """The live array by marks + cumsum + stable sort: the merge's
+    reference formula."""
+    if not len(delta):
+        return base_keys
+    lo = np.searchsorted(base_keys, delta.keys, side="left")
+    hi = np.searchsorted(base_keys, delta.keys, side="right")
+    marks = np.zeros(len(base_keys) + 1, dtype=np.int64)
+    np.add.at(marks, lo, 1)
+    np.add.at(marks, hi, -1)
+    shadowed = np.cumsum(marks[:-1]) > 0
+    return np.sort(np.concatenate([base_keys[~shadowed],
+                                   delta.insert_keys]), kind="stable")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_live_keys_merge_matches_sort_formula(seed):
+    """The linear merge equals the sort-based formula on duplicate-heavy
+    bases: a delete shadows every base copy, an upsert leaves one."""
+    rng = np.random.default_rng(seed)
+    base_keys = np.sort(rng.integers(0, 40, 500, dtype=np.uint64)
+                        * np.uint64(3))
+    windex = WritableIndex(INDEX_TYPES["b-tree"](base_keys))
+    for _ in range(8):
+        keys = rng.integers(0, 130, int(rng.integers(1, 30)),
+                            dtype=np.uint64)
+        ops = rng.integers(0, 2, len(keys)).astype(np.int8)
+        windex.apply(keys, ops)
+        view = windex._view
+        want = _live_keys_by_sort(base_keys, view.delta)
+        assert windex.n == len(want)
+        live = view.live_keys()
+        assert live.dtype == np.uint64 and not live.flags.writeable
+        assert np.array_equal(live, want)
+        deleted = view.delta.keys[view.delta.ops == OP_TOMBSTONE]
+        assert not np.isin(deleted, live).any()
+        assert np.all(np.diff(live) >= 0)
 
 
 def test_delete_to_empty_keeps_serving_and_rebuild_refuses():
