@@ -214,9 +214,8 @@ class OrderedIndex:
         """The ``(backend, packed)`` pair when the fused path applies.
 
         ``None`` unless the resolved backend is compiled *and* this
-        index packs: the NumPy backend's packed kernels replay the
-        staged arithmetic without being faster, so the staged path
-        (whose intermediate arrays feed no one) stays canonical there.
+        index packs: the NumPy backend has no fused packed kernels, so
+        the staged path is canonical there.
         """
         from ..kernels import get_backend
 
@@ -271,22 +270,16 @@ class OrderedIndex:
         return positions, starts, counts
 
     def warm_kernels(self) -> None:
-        """Compile/load the batch-path kernels off the serving hot path.
+        """Load the batch-path kernels off the serving hot path.
 
-        Every batch lookup completes through the kernel-backend
-        dispatcher (``core/search.batch_lower_bound_window``), so a JIT
-        backend would otherwise pay first-call compilation inside a
-        live request's deadline.  ``IndexServer`` calls this at start
-        and after every hot swap.  The default warms the active backend
-        and runs a one-element ``serve_batch`` probe through this
-        index's own batch path -- which, under a compiled backend, also
-        builds and caches this index's packed representation
-        (:meth:`pack` via :meth:`_packed`), so the first real request
-        never pays the packing cost.  Idempotent and cheap when warm.
+        ``IndexServer`` calls this at start and after every hot swap.
+        The default runs a one-element ``serve_batch`` probe through
+        this index's own batch path, which resolves the active kernel
+        backend (compiling or loading the C library on first use) and,
+        under a compiled backend, builds and caches this index's packed
+        representation (:meth:`pack` via :meth:`_packed`), so the first
+        real request pays neither.  Idempotent and cheap when warm.
         """
-        from ..kernels import get_backend
-
-        get_backend().warmup()
         probe = self.keys[:1]
         self.serve_batch(probe, probe, probe)
 

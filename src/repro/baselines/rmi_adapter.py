@@ -30,10 +30,14 @@ class RMIAsIndex(OrderedIndex):
 
     def __init__(self, keys: np.ndarray, layer2_size: int = 1024,
                  config: RMIConfig | None = None):
-        super().__init__(keys)
         cfg = (config or RMIConfig()).with_layer2_size(layer2_size)
         self.config = cfg
-        self.rmi: RMI = cfg.build(self.keys)
+        # The RMI validates the keys (non-empty, sorted) exactly as
+        # OrderedIndex.__init__ would; adopt its array rather than
+        # paying a second O(n) sortedness pass.
+        self.rmi: RMI = cfg.build(keys)
+        self.keys = self.rmi.keys
+        self.n = self.rmi.n
 
     def search_bounds(self, key: int) -> SearchBounds:
         model_id, pred = self.rmi.predict(int(key))

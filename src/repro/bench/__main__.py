@@ -13,7 +13,7 @@ Usage::
     python -m repro.bench build --n 1000000 --layer2-size 16384 \\
         --out BENCH_build.json --min-speedup 20 --min-compiled-speedup 3
     python -m repro.bench kernels --n 100000 --out BENCH_kernels.json \\
-        --min-speedup 5 [--gate-backend numba]
+        --min-speedup 5
     python -m repro.bench updates --n 200000 --out BENCH_updates.json \\
         --min-retention 0.5 --max-staleness-s 2.0
     python -m repro.bench tune --n 200000 --out BENCH_tune.json \\
@@ -120,6 +120,7 @@ def _figures_main(argv: "list[str]") -> int:
 def _kernels_main(argv: "list[str]") -> int:
     """``kernels`` subcommand: per-kernel backend microbenchmark."""
     from .kernels import (
+        GATE_BACKEND,
         GATE_METRIC,
         INDEX_CHOICES,
         gate_speedups,
@@ -160,12 +161,8 @@ def _kernels_main(argv: "list[str]") -> int:
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the JSON report here")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit 1 unless the gate backend's fused-"
+                        help=f"exit 1 unless the {GATE_BACKEND} fused-"
                         f"{GATE_METRIC} speedup over numpy reaches this")
-    parser.add_argument("--gate-backend", default="best-compiled",
-                        help="backend the --min-speedup gate binds on: a "
-                        "name (CI pins numba) or 'best-compiled' "
-                        "(default: the fastest available compiled one)")
     args = parser.parse_args(argv)
 
     backends = None
@@ -185,7 +182,7 @@ def _kernels_main(argv: "list[str]") -> int:
         backends=backends,
         indexes=indexes,
     )
-    gate_name = resolve_gate_backend(report, args.gate_backend)
+    gate_name = resolve_gate_backend(report)
     if args.min_speedup is not None:
         report["gate"] = {
             "backend": gate_name,
@@ -205,8 +202,8 @@ def _kernels_main(argv: "list[str]") -> int:
     if args.min_speedup is not None:
         gate = report["gate"]
         if gate["backend"] is None:
-            print(f"FAIL: gate backend {args.gate_backend!r} is not an "
-                  "available compiled backend")
+            print(f"FAIL: gate backend {GATE_BACKEND!r} did not run "
+                  "(not available, or not selected with --backends)")
             return 1
         if not gate["passed"]:
             shown = (f"{gate['speedup']:.2f}x"

@@ -1,10 +1,11 @@
-"""Per-kernel microbenchmark across kernel backends (ROADMAP item 4).
+"""Per-kernel microbenchmark across kernel backends.
 
 Behind ``python -m repro.bench kernels`` and the committed
 ``BENCH_kernels.json``: one tuned RMI smoke configuration (by default
 books, 100k keys, 2^14 leaves, LS→LR, LAbs — the regime where the
 paper's tuned RMIs live) is packed once, then each of the four kernel
-entry points is timed on every loadable backend:
+entry points is timed on every loadable backend (the NumPy backend's
+leg replays the RMI arithmetic over the packed arrays):
 
 ``predict``
     routing + leaf prediction (``rmi_predict``);
@@ -16,6 +17,11 @@ entry points is timed on every loadable backend:
     the "100k lookup smoke" the speedup gate binds on;
 ``serve``
     the fused point+range serving unit (``rmi_serve``).
+
+The RMI section also times the staged ``RMI.lookup_batch`` /
+``serve_batch`` under the NumPy backend -- the path an RMI actually
+serves through without a compiled backend -- and reports the compiled
+backend's speedup over it next to the gated speedup over the replay.
 
 Beyond the RMI smoke, the report carries one section per *family
 baseline* (``--index`` selects which): each packable index of Table 5
@@ -33,9 +39,8 @@ reference (and ``lookup`` additionally to the ``searchsorted`` oracle)
 before its timings count: a fast wrong kernel must fail the bench, not
 win it.  Backends that cannot load in this environment are recorded as
 ``available: false`` rather than dropped, so a committed report states
-explicitly which legs ran (PR-6 precedent: the numba leg binds in the
-dedicated CI job, which installs numba; dev containers without it
-still gate on the best available compiled backend).
+explicitly which legs ran; the ``--min-speedup`` gate binds on
+:data:`GATE_BACKEND` and fails when it did not run.
 """
 
 from __future__ import annotations
@@ -69,17 +74,23 @@ __all__ = [
     "write_kernels_report",
     "resolve_gate_backend",
     "gate_speedups",
+    "GATE_BACKEND",
 ]
 
 #: Kernel names in report order (RMI section).
 KERNELS = ("predict", "lower_bound_window", "lookup", "serve")
 
 #: Kernel names timed per family baseline (the packed generic entry
-#: points; predict/lower_bound_window are RMI-internal stages).
+#: points; predict/lower_bound_window are RMI-internal stages), and
+#: the staged RMI batch calls timed next to the RMI kernels.
 FAMILY_KERNELS = ("lookup", "serve")
 
 #: The kernel whose speedup the ``--min-speedup`` gate binds on.
 GATE_METRIC = "lookup"
+
+#: The backend the ``--min-speedup`` gate binds on: the one compiled
+#: backend.
+GATE_BACKEND = "cext"
 
 #: The family-baseline smokes: ``(index name, packed family, builder)``.
 #: Builders return ``(index, config)`` where ``config`` records any
@@ -302,7 +313,6 @@ def kernels_report(
         except (ValueError, RuntimeError) as exc:
             backend_status[name] = {"available": False, "error": str(exc)}
             continue
-        backend.warmup()
         backend_status[name] = {
             "available": True, "compiled": bool(backend.compiled),
         }
@@ -310,8 +320,9 @@ def kernels_report(
 
     report_backends: "dict[str, dict]" = {}
     speedups: "dict[str, dict[str, float]]" = {}
+    staged: "dict | None" = None
     if "rmi" in selected:
-        report_backends, speedups = _rmi_sections(
+        report_backends, speedups, staged = _rmi_sections(
             keys, qs, layer2_size, model_types, bound_type, runs,
             names, loaded, backend_status,
         )
@@ -341,6 +352,7 @@ def kernels_report(
         "backend_status": backend_status,
         "backends": report_backends,
         "speedups": speedups,
+        "staged": staged,
         "families": families,
         "sorted_narrowing": _sorted_narrowing_section(keys, qs, runs),
     }
@@ -348,7 +360,8 @@ def kernels_report(
 
 def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
                   names, loaded, backend_status):
-    """The historical RMI smoke: per-backend timings and speedups."""
+    """The RMI smoke: per-backend timings, speedups over the NumPy
+    replay, and the staged batch path with compiled speedups over it."""
     rmi = RMI(
         keys,
         layer_sizes=[int(layer2_size)],
@@ -366,6 +379,16 @@ def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
     ref_serve = reference.rmi_serve(packed, keys, qs, qs, qs)
     if not np.array_equal(reference.rmi_lookup(packed, keys, qs), oracle):
         raise RuntimeError("numpy backend disagrees with the oracle")
+    with use_backend("numpy"):
+        if not (np.array_equal(rmi.lookup_batch(qs), oracle)
+                and all(np.array_equal(g, r) for g, r in
+                        zip(rmi.serve_batch(qs, qs, qs), ref_serve))):
+            raise RuntimeError("staged RMI batch path disagrees with the "
+                               "NumPy replay")
+        staged_s = {
+            "lookup": _best_of(lambda: rmi.lookup_batch(qs), runs),
+            "serve": _best_of(lambda: rmi.serve_batch(qs, qs, qs), runs),
+        }
 
     m = len(qs)
     report_backends: "dict[str, dict]" = {}
@@ -436,7 +459,21 @@ def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
                          / entry["kernels"][kernel]["best_s"])
                 for kernel in KERNELS
             }
-    return report_backends, speedups
+    staged = {
+        "kernels": {
+            kernel: {"best_s": t, "ns_per_op": t / m * 1e9}
+            for kernel, t in staged_s.items()
+        },
+        "speedups": {
+            name: {
+                kernel: staged_s[kernel] / entry["kernels"][kernel]["best_s"]
+                for kernel in FAMILY_KERNELS
+            }
+            for name, entry in report_backends.items()
+            if entry.get("available") and entry.get("compiled")
+        },
+    }
+    return report_backends, speedups, staged
 
 
 def gate_speedups(report: dict) -> "dict[str, float]":
@@ -476,27 +513,14 @@ def _backend_status(report: dict) -> dict:
     }
 
 
-def resolve_gate_backend(report: dict, gate_backend: str) -> "str | None":
-    """Backend name the gate binds on, or ``None`` when none qualifies.
-
-    ``"best-compiled"`` picks the available compiled backend with the
-    highest gate-metric speedup (see :func:`gate_speedups`); a concrete
-    name requires that backend to be available (CI's numba leg must
-    fail loudly when the install broke, not silently gate on cext).
-    """
-    status = _backend_status(report)
-    if gate_backend != "best-compiled":
-        entry = status.get(gate_backend)
-        if not (entry and entry.get("available") and entry.get("compiled")):
-            return None
-        return gate_backend
-    best_name, best = None, -1.0
-    for name, value in gate_speedups(report).items():
-        if not status.get(name, {}).get("compiled"):
-            continue
-        if value > best:
-            best_name, best = name, value
-    return best_name
+def resolve_gate_backend(report: dict) -> "str | None":
+    """:data:`GATE_BACKEND` when it ran as a compiled backend in
+    ``report``, else ``None`` -- the gate then fails loudly rather than
+    binding on anything else."""
+    entry = _backend_status(report).get(GATE_BACKEND)
+    if entry and entry.get("available") and entry.get("compiled"):
+        return GATE_BACKEND
+    return None
 
 
 def render_kernels_report(report: dict) -> str:
@@ -508,6 +532,7 @@ def render_kernels_report(report: dict) -> str:
         f"{'->'.join(report['model_types'])}, {report['bound_type']}, "
         f"best of {report['runs']}",
     ]
+    staged = report.get("staged") or {"kernels": {}, "speedups": {}}
     for name, entry in report["backends"].items():
         if not entry.get("available"):
             lines.append(f"  {name:6s} unavailable "
@@ -516,11 +541,20 @@ def render_kernels_report(report: dict) -> str:
         for kernel in KERNELS:
             t = entry["kernels"][kernel]
             speed = report["speedups"].get(name, {}).get(kernel)
-            suffix = f"  {speed:5.2f}x vs numpy" if speed else ""
+            suffix = f"  {speed:5.2f}x vs replay" if speed else ""
+            vs_staged = staged["speedups"].get(name, {}).get(kernel)
+            if vs_staged:
+                suffix += f"  {vs_staged:5.2f}x vs staged"
             lines.append(
                 f"  {name:6s} {kernel:18s} {t['best_s'] * 1e3:8.2f}ms  "
                 f"{t['ns_per_op']:7.1f}ns/op{suffix}"
             )
+    for kernel, t in staged["kernels"].items():
+        label = f"RMI.{kernel}_batch"
+        lines.append(
+            f"  staged {label:18s} {t['best_s'] * 1e3:8.2f}ms  "
+            f"{t['ns_per_op']:7.1f}ns/op"
+        )
     for fam_name, fam in report.get("families", {}).items():
         if not fam.get("built"):
             lines.append(
@@ -533,7 +567,7 @@ def render_kernels_report(report: dict) -> str:
                 t = entry["kernels"][kernel]
                 speed = fam["speedups"].get(name, {}).get(kernel)
                 if speed:
-                    suffix = f"  {speed:5.2f}x vs numpy"
+                    suffix = f"  {speed:5.2f}x vs staged"
                 else:
                     suffix = "  (staged)" if entry.get("staged") else ""
                 lines.append(

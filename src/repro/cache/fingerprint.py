@@ -48,7 +48,7 @@ DATASET_GENERATOR_VERSION = 1
 SNAPSHOT_VERSION = 1
 
 #: Bump when the cost-model calibration procedure changes output.
-CALIBRATION_VERSION = 1
+CALIBRATION_VERSION = 2
 
 
 def canonicalize(value: Any) -> Any:

@@ -199,7 +199,7 @@ class RMI:
         its output is bit-identical to the staged grouped build.
     ``kernels``
         Kernel backend for the batch lookup hot path: a registry name
-        (``"numpy"``/``"numba"``/``"cext"``), ``"auto"``, or ``None``
+        (``"numpy"``/``"cext"``), ``"auto"``, or ``None``
         to follow the process default / ``REPRO_KERNELS`` environment
         chain (see :mod:`repro.kernels`).  Compiled backends serve
         ``lookup_batch``/``predict_batch``/``serve_batch`` through the
@@ -585,16 +585,12 @@ class RMI:
         return backend, packed
 
     def warm_kernels(self) -> None:
-        """Compile/load the active backend's kernels off the hot path.
+        """Load the active backend and pack this RMI off the hot path.
 
-        Idempotent.  Runs a one-element ``serve_batch`` probe so every
-        kernel entry point (routing, prediction, bounded search, fused
-        serve) is compiled -- or loaded from the JIT cache -- before
-        live traffic arrives.
+        Idempotent.  Runs a one-element ``serve_batch`` probe, which
+        resolves (and, for ``cext``, compiles or loads) the backend and
+        builds the cached packed arrays before live traffic arrives.
         """
-        from ..kernels import get_backend
-
-        get_backend(self.kernels).warmup()
         probe = self.keys[:1]
         self.serve_batch(probe, probe, probe)
 

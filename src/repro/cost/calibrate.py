@@ -144,16 +144,12 @@ def _family_probe(family: str, n: int):
               np.asarray([0.0]))],
             eps=1, n=n,
         )
-    elif family == "tree":
+    else:  # "tree"
         from ..kernels import pack_sparse_directory
 
         packed = pack_sparse_directory(
             "calibration", keys[::8],
             np.arange(0, n, 8, dtype=np.int64), n,
-        )
-    else:
-        raise ValueError(
-            f"unknown kernel family {family!r}; pick from {KERNEL_FAMILIES}"
         )
     if packed is None:  # pragma: no cover - shapes above always pack
         raise RuntimeError(f"calibration probe for {family!r} did not pack")
@@ -178,10 +174,14 @@ def calibrate_kernel_overhead(
     value to install as ``CostModel.per_lookup_overhead_ns``.
 
     The packed families (``"rmi"``, ``"pla"``, ``"tree"``) instead time
-    the backend's *fused* lookup over a tiny synthetic structure whose
-    predictions are exact, isolating that family's dispatch-plus-
+    a compiled backend's *fused* lookup over a tiny synthetic structure
+    whose predictions are exact, isolating that family's dispatch-plus-
     descent floor -- the constant a cost model should charge a packed
-    index on this backend before any real search work.
+    index on this backend before any real search work.  On a backend
+    that is not compiled every family serves through its staged path,
+    which completes in ``lower_bound_window``, so the packed families
+    run the ``"search"`` probe there: the measurement is of the path
+    that serves.
 
     Unlike built indexes, this is a *performance* measurement: the
     result depends on the executing backend and family, so the returned
@@ -192,10 +192,13 @@ def calibrate_kernel_overhead(
     """
     from ..kernels import get_backend
 
+    if family not in KERNEL_FAMILIES:
+        raise ValueError(
+            f"unknown kernel family {family!r}; pick from {KERNEL_FAMILIES}"
+        )
     be = get_backend(backend)
-    be.warmup()
     rng = np.random.default_rng(seed)
-    if family == "search":
+    if family == "search" or not be.compiled:
         keys = np.sort(rng.integers(0, 2**63, size=n, dtype=np.uint64))
         queries = keys[rng.integers(0, n, size=batch)]
         true_pos = np.searchsorted(keys, queries, side="left").astype(np.int64)
@@ -210,7 +213,7 @@ def calibrate_kernel_overhead(
         def probe():
             return be.lookup(packed, keys, queries)
     # Warm call outside the timed loop (loads code paths, page-faults
-    # the arrays); JIT backends already compiled in warmup().
+    # the arrays).
     probe()
     per_call = []
     for _ in range(max(repeats, 1)):

@@ -21,18 +21,15 @@ A backend provides the hot kernels of the lookup path over flat arrays
     The compiled build of a two-layer linear RMI (routing, leaf fits,
     error extremes in three passes).  Optional: backends without one
     return ``None`` and ``RMI`` takes its staged build.
-``pla_lookup`` / ``pla_serve``
-    The same fused shapes over a :class:`~repro.kernels.packed_pla.PackedPLA`
-    (PGM descent, FITing-Tree segment routing, RadixSpline knot
-    interpolation).
-``tree_lookup`` / ``tree_serve``
-    Fused descent over a :class:`~repro.kernels.packed_tree.PackedTree`
-    (sparse B+-tree directory, Hist-Tree bin descent).
-
-:meth:`KernelBackend.lookup` / :meth:`KernelBackend.serve` dispatch a
-packed structure of any family to the right kernel via its
-``packed_kind`` tag, so the baselines' kernel hand-off is one generic
-call site (``OrderedIndex._kernel_state``).
+``lookup`` / ``serve``
+    The same fused shapes over a packed structure of any family,
+    dispatched on its ``packed_kind`` tag: an RMI, a
+    :class:`~repro.kernels.packed_pla.PackedPLA` (PGM descent,
+    FITing-Tree segment routing, RadixSpline knot interpolation) or a
+    :class:`~repro.kernels.packed_tree.PackedTree` (sparse B+-tree
+    directory, Hist-Tree bin descent).  Compiled backends only: the
+    baselines' kernel hand-off (``OrderedIndex._kernel_state``) never
+    reaches them on an interpreted backend.
 
 Contract: every backend returns **bit-identical positions** to the
 staged NumPy reference on the same inputs -- the conformance suite
@@ -48,14 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["KernelBackend", "PACKED_DISPATCH", "LinearRMIBuild"]
-
-#: ``packed_kind`` tag -> (lookup method, serve method) names.
-PACKED_DISPATCH = {
-    "rmi": ("rmi_lookup", "rmi_serve"),
-    "pla": ("pla_lookup", "pla_serve"),
-    "tree": ("tree_lookup", "tree_serve"),
-}
+__all__ = ["KernelBackend", "LinearRMIBuild"]
 
 
 class LinearRMIBuild(NamedTuple):
@@ -80,12 +70,12 @@ class LinearRMIBuild(NamedTuple):
 class KernelBackend:
     """One implementation of the hot lookup kernels."""
 
-    #: Registry name (``"numpy"``, ``"numba"``, ``"cext"``).
+    #: Registry name (``"numpy"``, ``"cext"``).
     name: str = "?"
     #: True when the kernels run as machine code outside the NumPy
-    #: staged path.  ``RMI`` only diverts to ``rmi_*`` for compiled
-    #: backends; the NumPy backend's packed implementations exist for
-    #: conformance testing and as the benchmark baseline.
+    #: staged path.  Indexes only divert to the fused kernels for
+    #: compiled backends; the NumPy backend's ``rmi_*`` replay exists
+    #: for conformance testing and as the benchmark baseline.
     compiled: bool = False
 
     def lower_bound_window(
@@ -169,47 +159,10 @@ class KernelBackend:
         """
         return None
 
-    def pla_lookup(
-        self, packed, keys: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Fused PLA lookup: route→evaluate→window→bounded search."""
-        raise NotImplementedError
-
-    def pla_serve(
-        self,
-        packed,
-        keys: np.ndarray,
-        point_queries: np.ndarray,
-        range_lows: np.ndarray,
-        range_highs: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused PLA serving unit: ``(positions, starts, counts)``."""
-        raise NotImplementedError
-
-    def tree_lookup(
-        self, packed, keys: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Fused tree lookup: descend→window→bounded search."""
-        raise NotImplementedError
-
-    def tree_serve(
-        self,
-        packed,
-        keys: np.ndarray,
-        point_queries: np.ndarray,
-        range_lows: np.ndarray,
-        range_highs: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused tree serving unit: ``(positions, starts, counts)``."""
-        raise NotImplementedError
-
-    # -- generic dispatch ------------------------------------------------
-
     def lookup(self, packed, keys: np.ndarray,
                queries: np.ndarray) -> np.ndarray:
-        """Fused lookup for any packed family (``packed_kind`` dispatch)."""
-        method = PACKED_DISPATCH[packed.packed_kind][0]
-        return getattr(self, method)(packed, keys, queries)
+        """Fused lookup for any packed family (compiled backends)."""
+        raise NotImplementedError
 
     def serve(
         self,
@@ -219,19 +172,8 @@ class KernelBackend:
         range_lows: np.ndarray,
         range_highs: np.ndarray,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused serving unit for any packed family."""
-        method = PACKED_DISPATCH[packed.packed_kind][1]
-        return getattr(self, method)(
-            packed, keys, point_queries, range_lows, range_highs
-        )
-
-    def warmup(self) -> None:
-        """Force compilation/loading now, off the serving hot path.
-
-        Idempotent and cheap when already warm.  ``IndexServer`` calls
-        this at start and after a hot swap so JIT compilation never
-        lands inside a live request's deadline.
-        """
+        """Fused serving unit for any packed family (compiled backends)."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "compiled" if self.compiled else "interpreted"

@@ -1,9 +1,9 @@
 """Compiled C backend: gcc-built shared library loaded via ctypes.
 
-ROADMAP item 4 allows "numba njit or a small C extension"; this is the
-small C extension.  The kernel source below is compiled once per source
-revision (output keyed by a SHA-256 of source + flags, so upgrades
-never load a stale library) with ``-O3 -ffp-contract=off`` -- contract
+The repo's one compiled backend: a small C library serving every packed
+family and the compiled RMI build.  The kernel source below is compiled
+once per source revision (output keyed by a SHA-256 of source + flags,
+so upgrades never load a stale library) with ``-O3 -ffp-contract=off`` -- contract
 *off* matters: GCC's default of fused multiply-adds in ``-std=gnu``
 mode would change last-ulp results of the polynomial evaluations and
 break the bit-identical contract with the NumPy reference.  No
@@ -1088,6 +1088,16 @@ def _tree_args(packed: PackedTree):
     )
 
 
+#: ``packed_kind`` -> (lookup kernel, serve kernel, structure arguments).
+#: Every family's entry points take the same leading ``(keys, n)`` and
+#: trailing query/output runs around its own structure arguments.
+_PACKED_KERNELS = {
+    "rmi": ("repro_rmi_lookup", "repro_rmi_serve", _packed_args),
+    "pla": ("repro_pla_lookup", "repro_pla_serve", _pla_args),
+    "tree": ("repro_tree_lookup", "repro_tree_serve", _tree_args),
+}
+
+
 class CExtBackend(KernelBackend):
     """ctypes wrapper over the gcc-compiled kernel library."""
 
@@ -1096,6 +1106,15 @@ class CExtBackend(KernelBackend):
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
+        #: ``packed_kind`` -> (C function, structure marshal), per path.
+        self._lookups = {
+            kind: (getattr(lib, fn), args)
+            for kind, (fn, _, args) in _PACKED_KERNELS.items()
+        }
+        self._serves = {
+            kind: (getattr(lib, fn), args)
+            for kind, (_, fn, args) in _PACKED_KERNELS.items()
+        }
 
     def lower_bound_window(self, keys, queries, lo, hi):
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -1139,18 +1158,16 @@ class CExtBackend(KernelBackend):
         )
         return ids, pos
 
-    def rmi_lookup(self, packed: PackedRMI, keys, queries):
+    def lookup(self, packed, keys, queries):
+        fn, args = self._lookups[packed.packed_kind]
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         queries = np.ascontiguousarray(queries, dtype=np.uint64)
         out = np.empty(len(queries), dtype=np.int64)
-        self._lib.repro_rmi_lookup(
-            keys, len(keys), *_packed_args(packed),
-            queries, len(queries), out,
-        )
+        fn(keys, len(keys), *args(packed), queries, len(queries), out)
         return out
 
-    def rmi_serve(self, packed: PackedRMI, keys, point_queries,
-                  range_lows, range_highs):
+    def serve(self, packed, keys, point_queries, range_lows, range_highs):
+        fn, args = self._serves[packed.packed_kind]
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         points = np.ascontiguousarray(point_queries, dtype=np.uint64)
         lows = np.ascontiguousarray(range_lows, dtype=np.uint64)
@@ -1158,12 +1175,14 @@ class CExtBackend(KernelBackend):
         positions = np.empty(len(points), dtype=np.int64)
         starts = np.empty(len(lows), dtype=np.int64)
         counts = np.empty(len(lows), dtype=np.int64)
-        self._lib.repro_rmi_serve(
-            keys, len(keys), *_packed_args(packed),
-            points, len(points), lows, highs, len(lows),
-            positions, starts, counts,
-        )
+        fn(keys, len(keys), *args(packed), points, len(points), lows,
+           highs, len(lows), positions, starts, counts)
         return positions, starts, counts
+
+    # The RMI entry points are the generic ones under their own names
+    # (the same function objects, so no extra frame on the hot path).
+    rmi_lookup = lookup
+    rmi_serve = serve
 
     def rmi_build(self, keys, fanout, root_slope, root_intercept, scale,
                   leaf_code, with_bounds):
@@ -1186,58 +1205,3 @@ class CExtBackend(KernelBackend):
             return None
         return LinearRMIBuild(offsets, codes, params, err_lo, err_hi,
                               tuple(float(s) for s in seconds))
-
-    def pla_lookup(self, packed: PackedPLA, keys, queries):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
-        out = np.empty(len(queries), dtype=np.int64)
-        self._lib.repro_pla_lookup(
-            keys, len(keys), *_pla_args(packed),
-            queries, len(queries), out,
-        )
-        return out
-
-    def pla_serve(self, packed: PackedPLA, keys, point_queries,
-                  range_lows, range_highs):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        points = np.ascontiguousarray(point_queries, dtype=np.uint64)
-        lows = np.ascontiguousarray(range_lows, dtype=np.uint64)
-        highs = np.ascontiguousarray(range_highs, dtype=np.uint64)
-        positions = np.empty(len(points), dtype=np.int64)
-        starts = np.empty(len(lows), dtype=np.int64)
-        counts = np.empty(len(lows), dtype=np.int64)
-        self._lib.repro_pla_serve(
-            keys, len(keys), *_pla_args(packed),
-            points, len(points), lows, highs, len(lows),
-            positions, starts, counts,
-        )
-        return positions, starts, counts
-
-    def tree_lookup(self, packed: PackedTree, keys, queries):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
-        out = np.empty(len(queries), dtype=np.int64)
-        self._lib.repro_tree_lookup(
-            keys, len(keys), *_tree_args(packed),
-            queries, len(queries), out,
-        )
-        return out
-
-    def tree_serve(self, packed: PackedTree, keys, point_queries,
-                   range_lows, range_highs):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        points = np.ascontiguousarray(point_queries, dtype=np.uint64)
-        lows = np.ascontiguousarray(range_lows, dtype=np.uint64)
-        highs = np.ascontiguousarray(range_highs, dtype=np.uint64)
-        positions = np.empty(len(points), dtype=np.int64)
-        starts = np.empty(len(lows), dtype=np.int64)
-        counts = np.empty(len(lows), dtype=np.int64)
-        self._lib.repro_tree_serve(
-            keys, len(keys), *_tree_args(packed),
-            points, len(points), lows, highs, len(lows),
-            positions, starts, counts,
-        )
-        return positions, starts, counts
-
-    def warmup(self) -> None:
-        """The library is ahead-of-time compiled; loading was the warm-up."""

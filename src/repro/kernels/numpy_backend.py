@@ -3,13 +3,13 @@
 ``lower_bound_window`` delegates to the staged implementation in
 :mod:`repro.core.search`; the ``rmi_*`` kernels replay the exact
 arithmetic of :class:`repro.core.rmi.RMI`'s batch path over the packed
-arrays, and the ``pla_*``/``tree_*`` kernels replay the staged
-``lookup_batch`` of the corresponding baselines (same operations, same
-order), so their outputs are bit-identical to both the staged paths and
-the compiled backends.  This backend is always available, is the
-baseline leg of ``python -m repro.bench kernels``, and doubles as the
-executable specification the compiled backends are conformance-tested
-against.
+arrays (same operations, same order), so their outputs are
+bit-identical to both the staged path and the compiled backend.  This
+backend is always available, its ``rmi_*`` replay is the baseline leg
+of ``python -m repro.bench kernels``, and it doubles as the executable
+specification the compiled backend is conformance-tested against.
+Packed PLA/tree structures have no replay here: under this backend the
+baselines serve through their own staged ``lookup_batch``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 
 from .base import KernelBackend
 from .packed import BOUNDS_NONE, BOUNDS_PER_MODEL, PackedRMI
-from .packed_pla import PLA_DESCEND, PLA_SEGMENT, PackedPLA
-from .packed_tree import TREE_SPARSE, PackedTree
 
 __all__ = ["NumpyBackend"]
 
@@ -106,175 +104,16 @@ class NumpyBackend(KernelBackend):
         lo, hi = self._intervals(packed, positions, model_ids)
         return self.lower_bound_window(keys, queries, lo, hi)
 
-    def _fused_serve(self, lookup, packed, keys, point_queries,
-                     range_lows, range_highs):
-        """Serving unit shared by all families: point + range lookups."""
+    def rmi_serve(self, packed: PackedRMI, keys, point_queries,
+                  range_lows, range_highs):
         if len(point_queries):
-            positions = lookup(packed, keys, point_queries)
+            positions = self.rmi_lookup(packed, keys, point_queries)
         else:
             positions = np.empty(0, dtype=np.int64)
         if len(range_lows):
-            starts = lookup(packed, keys, range_lows)
-            counts = lookup(packed, keys, range_highs) - starts
+            starts = self.rmi_lookup(packed, keys, range_lows)
+            counts = self.rmi_lookup(packed, keys, range_highs) - starts
         else:
             starts = np.empty(0, dtype=np.int64)
             counts = np.empty(0, dtype=np.int64)
         return positions, starts, counts
-
-    def rmi_serve(self, packed: PackedRMI, keys, point_queries,
-                  range_lows, range_highs):
-        return self._fused_serve(self.rmi_lookup, packed, keys,
-                                 point_queries, range_lows, range_highs)
-
-    # -- fused PLA path --------------------------------------------------
-
-    def _pla_window(self, packed: PackedPLA, queries):
-        """Replay a PLA baseline's staged routing/evaluation.
-
-        Returns ``(queries, lo, hi)`` -- the exact data window the
-        staged ``lookup_batch`` hands to ``batch_lower_bound_window``.
-        """
-        q = np.asarray(queries, dtype=np.uint64)
-        qf = q.astype(np.float64)
-        off = packed.offsets
-        n = packed.n
-        if packed.kind == PLA_DESCEND:
-            from ..core.search import batch_binary_search
-
-            # PGM-style descent (cf. PGMIndex.lookup_batch): correct the
-            # predicted next-level segment inside a ±eps_internal window,
-            # then take the predecessor on exact first-key misses.
-            seg = np.zeros(len(q), dtype=np.int64)
-            for depth in range(packed.num_levels - 1, 0, -1):
-                lk = packed.seg_keys[off[depth]:off[depth + 1]]
-                ls = packed.slopes[off[depth]:off[depth + 1]]
-                lv = packed.icepts[off[depth]:off[depth + 1]]
-                bk = packed.seg_keys[off[depth - 1]:off[depth]]
-                pred = lv[seg] + ls[seg] * (qf - lk[seg].astype(np.float64))
-                m = len(bk)
-                center = np.clip(
-                    np.nan_to_num(pred), 0, m - 1
-                ).astype(np.int64)
-                lo = np.maximum(center - packed.eps_internal, 0)
-                hi = np.minimum(center + packed.eps_internal, m - 1)
-                lb = batch_binary_search(bk, q, lo, hi)
-                exact = (lb <= hi) & (bk[np.clip(lb, 0, m - 1)] == q)
-                seg = np.clip(np.where(exact, lb, lb - 1), 0, m - 1)
-            bk = packed.seg_keys[off[0]:off[1]]
-            bs = packed.slopes[off[0]:off[1]]
-            bv = packed.icepts[off[0]:off[1]]
-            pred = bv[seg] + bs[seg] * (qf - bk[seg].astype(np.float64))
-            center = np.clip(np.nan_to_num(pred), 0, n - 1).astype(np.int64)
-            lo = np.maximum(center - packed.eps, 0)
-            hi = np.minimum(center + packed.eps, n - 1)
-            return q, lo, hi
-        if packed.kind == PLA_SEGMENT:
-            # FITing-Tree: predecessor segment + anchored evaluation.
-            fk = packed.seg_keys
-            seg = np.searchsorted(fk, q, side="right") - 1
-            before = seg < 0
-            seg = np.clip(seg, 0, len(fk) - 1)
-            estimate = packed.icepts[seg] + packed.slopes[seg] * (
-                qf - fk[seg].astype(np.float64)
-            )
-            center = np.clip(
-                np.nan_to_num(estimate), 0, n - 1
-            ).astype(np.int64)
-            lo = np.maximum(center - packed.eps, 0)
-            hi = np.minimum(center + packed.eps, n - 1)
-            lo[before] = 0
-            hi[before] = 0
-            return q, lo, hi
-        # PLA_SPLINE (RadixSpline): interpolate between bracketing knots.
-        sx = packed.seg_keys
-        sy = packed.icepts
-        idx = np.searchsorted(sx, q, side="right")
-        left = np.clip(idx - 1, 0, len(sx) - 1)
-        right = np.clip(idx, 0, len(sx) - 1)
-        x0 = sx[left].astype(np.float64)
-        x1 = sx[right].astype(np.float64)
-        y0 = sy[left]
-        y1 = sy[right]
-        dx = x1 - x0
-        frac = np.divide(qf - x0, dx, out=np.zeros(len(q)), where=dx > 0)
-        center = np.clip(y0 + (y1 - y0) * frac, 0, n - 1).astype(np.int64)
-        lo = np.maximum(center - packed.eps, 0)
-        hi = np.minimum(center + packed.eps, n - 1)
-        return q, lo, hi
-
-    def pla_lookup(self, packed: PackedPLA, keys, queries):
-        q, lo, hi = self._pla_window(packed, queries)
-        return self.lower_bound_window(keys, q, lo, hi)
-
-    def pla_serve(self, packed: PackedPLA, keys, point_queries,
-                  range_lows, range_highs):
-        return self._fused_serve(self.pla_lookup, packed, keys,
-                                 point_queries, range_lows, range_highs)
-
-    # -- fused tree path -------------------------------------------------
-
-    def _tree_window(self, packed: PackedTree, queries):
-        """Replay a tree baseline's staged descent to data windows."""
-        q = np.asarray(queries, dtype=np.uint64)
-        n = packed.n
-        if packed.kind == TREE_SPARSE:
-            # Sparse B+-tree directory (cf. BTreeIndex.lookup_batch).
-            positions = packed.positions
-            m = len(positions)
-            entry = np.searchsorted(packed.entry_keys, q, side="right") - 1
-            found = entry >= 0
-            safe = np.clip(entry, 0, m - 1)
-            lo = np.where(found, positions[safe], 0)
-            nxt = safe + 1
-            has_next = nxt < m
-            hi = np.where(
-                has_next, positions[np.clip(nxt, 0, m - 1)], n - 1
-            )
-            hi = np.where(found, hi, int(positions[0]))
-            return q, lo, hi
-        # TREE_HIST: grouped bin descent over the breadth-first arrays
-        # (cf. HistTree.lookup_batch -- same grouping, same windows).
-        nb = packed.num_bins
-        lo = np.zeros(len(q), dtype=np.int64)
-        hi = np.zeros(len(q), dtype=np.int64)
-        above = q >= np.uint64(packed.min_key)
-        start = np.flatnonzero(above)
-        stack = [(0, start, q[start] - np.uint64(packed.min_key))]
-        while stack:
-            node, idx, offs = stack.pop()
-            raw = (offs - packed.node_lo[node]) >> np.uint64(
-                packed.node_shift[node]
-            )
-            over = raw >= np.uint64(nb)
-            if over.any():
-                lo[idx[over]] = n - 1
-                hi[idx[over]] = n - 1
-                keep = ~over
-                idx, offs, raw = idx[keep], offs[keep], raw[keep]
-            bins = raw.astype(np.int64)
-            if not len(idx):
-                continue
-            children = packed.node_child[node * nb:(node + 1) * nb]
-            has_child = children[bins] >= 0
-            if has_child.any():
-                for b in np.unique(bins[has_child]):
-                    mask = bins == b
-                    stack.append((int(children[b]), idx[mask], offs[mask]))
-                term = ~has_child
-                idx, bins = idx[term], bins[term]
-            if not len(idx):
-                continue
-            pref = packed.node_pref[node * (nb + 1):(node + 1) * (nb + 1)]
-            base = packed.node_base[node]
-            hi[idx] = np.minimum(base + pref[bins + 1], n - 1)
-            lo[idx] = np.minimum(base + pref[bins], n - 1)
-        return q, lo, hi
-
-    def tree_lookup(self, packed: PackedTree, keys, queries):
-        q, lo, hi = self._tree_window(packed, queries)
-        return self.lower_bound_window(keys, q, lo, hi)
-
-    def tree_serve(self, packed: PackedTree, keys, point_queries,
-                   range_lows, range_highs):
-        return self._fused_serve(self.tree_lookup, packed, keys,
-                                 point_queries, range_lows, range_highs)

@@ -4,9 +4,8 @@ The PLA family -- PGM-index, CompressedPGM, RadixSpline, FITing-Tree --
 shares one evaluation shape: route a query to a segment (or spline
 knot), evaluate one linear model, search a ±eps window around the
 estimate.  :class:`PackedPLA` flattens that shape into contiguous SoA
-arrays the compiled backends (:mod:`repro.kernels.numba_backend`,
-:mod:`repro.kernels.cext_backend`) can walk without touching Python
-objects: all levels' segment first-keys / slopes / intercepts
+arrays the compiled backend (:mod:`repro.kernels.cext_backend`) can
+walk without touching Python objects: all levels' segment first-keys / slopes / intercepts
 concatenated with per-level offsets (bottom level first), plus the two
 window radii.
 
@@ -30,8 +29,8 @@ Three routing/evaluation kinds cover the four indexes:
     scalar-path accelerator).
 
 Like :func:`repro.kernels.packed.pack_rmi`, packing copies parameter
-values verbatim -- every backend replays the exact staged arithmetic on
-these arrays, so windows (and therefore the per-index cost profile) are
+values verbatim -- the compiled kernels replay the exact staged
+arithmetic on these arrays, so windows (and therefore the per-index cost profile) are
 bit-identical to the staged NumPy batch path.
 """
 

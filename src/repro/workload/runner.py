@@ -75,8 +75,8 @@ class WorkloadResult:
     estimated_search_ns: float
     #: Batch-vs-scalar agreement on a deterministic query sample.
     scalar_agreement_ok: bool = True
-    #: Kernel backend that executed the batch path ("numpy", "cext",
-    #: "numba") -- wall-clock numbers are only comparable within one
+    #: Kernel backend that executed the batch path ("numpy" or
+    #: "cext") -- wall-clock numbers are only comparable within one
     #: backend, so results record which one ran.
     kernel_backend: str = "numpy"
     #: True when the batch path ran the backend's *fused* packed kernel

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.binary_search import BinarySearchIndex
 from repro.baselines.interfaces import OrderedIndex, SearchBounds
+from repro.baselines.rmi_adapter import RMIAsIndex
 
 
 class SloppyIndex(OrderedIndex):
@@ -41,6 +42,12 @@ class TestLowerBoundRepair:
             SloppyIndex(np.array([], dtype=np.uint64), 0)
         with pytest.raises(ValueError, match="sorted"):
             SloppyIndex(np.array([3, 1], dtype=np.uint64), 0)
+        # RMIAsIndex validates through its RMI alone (and adopts the
+        # RMI's key array): the same inputs must still be refused.
+        with pytest.raises(ValueError, match="empty"):
+            RMIAsIndex(np.array([], dtype=np.uint64), layer2_size=4)
+        with pytest.raises(ValueError, match="sorted"):
+            RMIAsIndex(np.array([3, 1, 2], dtype=np.uint64), layer2_size=4)
 
 
 class TestSearchBounds:

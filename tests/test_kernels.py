@@ -13,8 +13,8 @@ Three layers of coverage:
   ``searchsorted`` oracle (the deeper adversarial sweeps live in the
   backend-parametrized conformance suite).
 
-Compiled-backend legs skip automatically where numba / a C compiler is
-absent; everything else runs everywhere.
+Compiled-backend legs skip automatically where a C compiler is absent;
+everything else runs everywhere.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ class TestIntegration:
         )
 
     @pytest.mark.skipif(
-        not any(kernels.backend_available(n) for n in ("numba", "cext")),
+        not kernels.backend_available("cext"),
         reason="no compiled backend in this environment",
     )
     def test_rmi_dispatches_to_compiled_backend(self, books_keys):
@@ -343,6 +343,36 @@ class TestFingerprints:
         assert result["per_lookup_overhead_ns"] > 0.0
         assert result["params"]["batch"] == 256
 
+    @pytest.mark.parametrize("family", ["rmi", "pla", "tree"])
+    def test_packed_family_calibration_on_numpy_times_the_search(
+        self, family, monkeypatch
+    ):
+        """Under NumPy every family serves through ``lower_bound_window``
+        (the backend has no fused packed kernels), so the packed-family
+        probe is the search probe."""
+        cls = type(kernels.get_backend("numpy"))
+        search = cls.lower_bound_window
+        searched = []
+
+        def spy(self, keys, queries, lo, hi):
+            searched.append((len(queries), int(np.max(hi - lo))))
+            return search(self, keys, queries, lo, hi)
+
+        monkeypatch.setattr(cls, "lower_bound_window", spy)
+        result = calibrate_kernel_overhead(
+            "numpy", n=2_000, batch=256, repeats=2, family=family
+        )
+        assert result["family"] == family
+        assert result["compiled"] is False
+        assert result["per_lookup_overhead_ns"] > 0.0
+        # Width-1 windows of 256 queries: the search probe, not a
+        # replay of the family's descent.
+        assert searched and set(searched) == {(256, 0)}
+
+    def test_calibration_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            calibrate_kernel_overhead("numpy", n=2_000, family="btree")
+
 
 # ----------------------------------------------------------------------
 # The bench subcommand
@@ -356,7 +386,7 @@ class TestKernelsBench:
 
         return kernels_report(
             n=4_000, queries=2_000, layer2_size=256, runs=1,
-            backends=["numpy", "cext", "numba"],
+            backends=["numpy", "cext"],
         )
 
     def test_report_shape(self, report):
@@ -371,17 +401,20 @@ class TestKernelsBench:
             if entry.get("available") and name != "numpy":
                 assert entry["bit_identical"]
                 assert set(report["speedups"][name]) == set(KERNELS)
+                assert set(report["staged"]["speedups"][name]) == {
+                    "lookup", "serve"}
+        for kernel in ("lookup", "serve"):
+            assert report["staged"]["kernels"][kernel]["best_s"] > 0.0
 
     def test_gate_resolution(self, report):
-        from repro.bench.kernels import resolve_gate_backend
+        from repro.bench.kernels import GATE_BACKEND, resolve_gate_backend
 
-        assert resolve_gate_backend(report, "numpy") is None  # not compiled
-        assert resolve_gate_backend(report, "no-such") is None
-        best = resolve_gate_backend(report, "best-compiled")
-        compiled = [
-            n for n, e in report["backends"].items() if e.get("compiled")
-        ]
-        assert (best in compiled) if compiled else (best is None)
+        ran = report["backend_status"][GATE_BACKEND]["available"]
+        assert resolve_gate_backend(report) == (
+            GATE_BACKEND if ran else None)
+        numpy_only = dict(report, backend_status={
+            "numpy": report["backend_status"]["numpy"]})
+        assert resolve_gate_backend(numpy_only) is None
 
     def test_cli_runs_and_writes_report(self, tmp_path, capsys):
         from repro.bench.__main__ import main
